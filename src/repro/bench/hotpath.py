@@ -3,20 +3,23 @@
 Each metric pair times the optimized implementation and the
 ``*_reference`` executable specification it is parity-pinned against
 (PRG mask expansion, Shamir share evaluation and reconstruction, codec
-encode, mask accumulation), so the recorded speedups are measured on the
-same machine, same inputs, same run — the trajectory point the paper's
-Fig.-2-style overhead claims rest on.
+encode, mask accumulation, DH key agreement), so the recorded speedups
+are measured on the same machine, same inputs, same run — the
+trajectory point the paper's Fig.-2-style overhead claims rest on.
 """
 
 from __future__ import annotations
 
+import hashlib
 import platform
 import time
 from typing import Any, Callable
 
 import numpy as np
 
+from repro import native
 from repro.bench.schema import make_report, metric
+from repro.crypto.dh import DHGroup, resolve_group
 from repro.crypto.prg import PRG, PRGReference
 from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
@@ -43,6 +46,23 @@ def _speedup_triplet(
     metrics[f"{name}_fast_s"] = metric(fast_s, "s")
     if fast_s > 0:
         metrics[f"{name}_speedup"] = metric(ref_s / fast_s, "x")
+
+
+# Agreements timed per sample: enough to dwarf timer resolution at each width.
+_DH_AGREEMENTS = {"modp512": 20, "modp2048": 2}
+
+
+def _dh_agree_us(
+    group: DHGroup, power, peers: list[int], secret: int, repeats: int
+) -> float:
+    """Best-of µs per KA.agree-shaped step (exponentiate, then hash)."""
+    size = (group.p.bit_length() + 7) // 8
+
+    def agree_all() -> None:
+        for peer in peers:
+            hashlib.sha256(power(peer, secret).to_bytes(size, "big")).digest()
+
+    return _best_of(agree_all, repeats) / len(peers) * 1e6
 
 
 def run_hotpath(
@@ -128,6 +148,22 @@ def run_hotpath(
     fast_s = _best_of(_fast_accumulate, repeats)
     _speedup_triplet(metrics, f"mask_accumulate_d{d}", ref_s, fast_s)
 
+    # DH key agreement: the native Montgomery kernel behind DHGroup.power
+    # against CPython's pow (power_reference), on identical exponents.
+    for name, count in _DH_AGREEMENTS.items():
+        group = resolve_group(name)
+        secret = 1 + int(rng.integers(1 << 62)) * group.q // (1 << 62)
+        peers = [
+            group.power_reference(group.g, 2 + int(rng.integers(1 << 62)))
+            for _ in range(count)
+        ]
+        ref_us = _dh_agree_us(group, group.power_reference, peers, secret, repeats)
+        fast_us = _dh_agree_us(group, group.power, peers, secret, repeats)
+        metrics[f"dh_agree_{name}_reference_us"] = metric(ref_us, "us")
+        metrics[f"dh_agree_{name}_fast_us"] = metric(fast_us, "us")
+        if fast_us > 0:
+            metrics[f"dh_agree_{name}_speedup"] = metric(ref_us / fast_us, "x")
+
     config = {
         "dims": list(dims),
         "clients": clients,
@@ -136,6 +172,9 @@ def run_hotpath(
         "seed": seed,
         "shamir_threshold": threshold,
         "shamir_participants": n,
+        "dh_agreements_per_sample": dict(_DH_AGREEMENTS),
+        "native_backend": native.backend_name(),
+        "modexp_kernel": native.modexp(3, 5, 7) is not None,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

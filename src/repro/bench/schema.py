@@ -31,7 +31,7 @@ from typing import Any
 SCHEMA_VERSION = 1
 
 #: Units a metric may carry; anything else fails validation.
-KNOWN_UNITS = frozenset({"s", "bytes", "x", "count", "flag", "per_s"})
+KNOWN_UNITS = frozenset({"s", "us", "bytes", "x", "count", "flag", "per_s"})
 
 
 def metric(value: float, unit: str) -> dict[str, Any]:

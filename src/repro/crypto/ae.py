@@ -29,6 +29,12 @@ class AEError(Exception):
     """Raised when decryption fails authentication (tampered or wrong key)."""
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR an equal-length ``stream``, as one whole-buffer operation."""
+    x = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+    return x.to_bytes(len(data), "little")
+
+
 def _subkey(key: bytes, label: bytes) -> bytes:
     """Derive an independent subkey (HKDF-style extract+expand, one block)."""
     return hmac.new(key, b"dordis-ae" + label, hashlib.sha256).digest()
@@ -52,7 +58,7 @@ class AuthenticatedEncryption:
     def encrypt(self, plaintext: bytes) -> bytes:
         nonce = secrets.token_bytes(_NONCE_LEN)
         stream = PRG(self._enc_key + nonce).read(len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        ciphertext = _xor(plaintext, stream)
         tag = hmac.new(self._mac_key, nonce + ciphertext, hashlib.sha256).digest()
         return nonce + ciphertext + tag
 
@@ -66,4 +72,4 @@ class AuthenticatedEncryption:
         if not hmac.compare_digest(tag, expect):
             raise AEError("authentication failed")
         stream = PRG(self._enc_key + nonce).read(len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
+        return _xor(ciphertext, stream)

@@ -6,6 +6,11 @@ mask (``s`` keys) — via Diffie–Hellman composed with a hash (Fig. 5,
 AdvertiseKeys/ShareKeys).  We implement classic DH in the 2048-bit MODP
 group of RFC 3526 (a safe-prime group: q = (p−1)/2 is prime), with the
 agreed key being SHA-256 of the shared group element.
+
+Every exponentiation goes through :meth:`DHGroup.power`, which runs on
+the native Montgomery kernel (:func:`repro.native.modexp`) when it is
+loaded and on CPython's ``pow`` (:meth:`DHGroup.power_reference`, the
+parity-pinned twin) otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass
+
+from repro import native
 
 #: RFC 3526, group 14 (2048-bit MODP).  Generator 2.
 MODP_2048_P = int(
@@ -44,6 +51,16 @@ class DHGroup:
         return 1 + secrets.randbelow(self.q - 1)
 
     def power(self, base: int, exp: int) -> int:
+        """``base ** exp mod p``, on the native Montgomery kernel when loaded.
+
+        Falls back to :meth:`power_reference` when the kernel is
+        unavailable (or ``REPRO_NATIVE=0``), the modulus is even or wider
+        than the kernel's limb limit, or the exponent is negative.
+        """
+        out = native.modexp(base, exp, self.p)
+        return self.power_reference(base, exp) if out is None else out
+
+    def power_reference(self, base: int, exp: int) -> int:
         return pow(base, exp, self.p)
 
 

@@ -1,41 +1,56 @@
-"""Optional native accelerator for the counter-mode PRG.
+"""Optional native kernels: the counter-mode PRG and DH modular exponentiation.
 
-The unmask plane's dominant cost is SHA-256 compressions: d = 2^20
-elements is 2^18 blocks per mask and ~1,000 masks per round.  The pure
-Python loop in :mod:`repro.crypto.prg` bottoms out around half a
-microsecond per block — almost all of it per-block Python/hashlib
-bookkeeping, not hashing.  This module removes that floor when (and only
-when) the host can support it, by lazily compiling the self-contained C
-kernel in ``_native/sha256ctr.c`` with the system C compiler and loading
-it through :mod:`ctypes`.
+Two hot paths bottom out in per-operation CPython overhead that a small
+first-party C kernel removes:
+
+- **SHA-256 counter stream** (``_native/sha256ctr.c``).  The unmask
+  plane's dominant cost is SHA-256 compressions: d = 2^20 elements is
+  2^18 blocks per mask and ~1,000 masks per round.  The pure-Python loop
+  in :mod:`repro.crypto.prg` bottoms out around half a microsecond per
+  block, almost all of it per-block Python/hashlib bookkeeping.  The
+  kernel dispatches at runtime between a portable scalar SHA-256 and an
+  SHA-NI path on x86-64 CPUs that have it (~10x again over scalar C);
+  :func:`backend_name` reports which.
+- **Montgomery modular exponentiation** (``_native/modexp.c``).  Every
+  Diffie-Hellman agreement and key generation, and every Schnorr
+  signature, is one ``pow`` on a 512- to 2048-bit modulus.  The kernel
+  runs CIOS Montgomery multiplication over 64-bit limbs with a fixed
+  4-bit window and a masked table scan, so it does not branch or index
+  on the secret exponent; :func:`modexp` serves
+  :meth:`repro.crypto.dh.DHGroup.power`.  The per-modulus context
+  (R^2 mod p, -p^-1 mod 2^64) is computed once and memoized here.
 
 Design constraints, in order:
 
-- **No new dependencies.**  The kernel is first-party C with no
-  includes beyond the C standard library; it is built with whatever
-  ``cc``/``gcc``/``clang`` the host already has.  No compiler, no
-  kernel — nothing is downloaded or installed.
+- **No new dependencies.**  Both kernels are first-party C with no
+  includes beyond the C standard library (no libcrypto, no GMP), built
+  into one shared object with whatever ``cc``/``gcc``/``clang`` the host
+  already has, so set-up pays for one compile and one ``dlopen``.  No
+  compiler, no kernel: nothing is downloaded or installed.
 - **Graceful fallback.**  Any failure — no compiler, compile error,
   load error, ``REPRO_NATIVE=0`` in the environment — makes
   :func:`load` return ``None`` (memoized), and callers silently keep
-  the pure-Python path.  The two paths are bit-identical by
-  construction (same ``SHA256(seed ∥ ctr)`` stream) and parity-pinned
-  by test whenever the kernel is available.
+  the pure-Python paths: the hashlib loop for the PRG, ``pow`` for DH.
+- **Probed before trusted.**  At load time each kernel is checked once
+  against its Python twin (one SHA-256 digest against hashlib; a few
+  exponentiations against ``pow``).  A failed SHA probe drops the whole
+  object; a failed modexp probe disables only :func:`modexp`, so the PRG
+  kernel keeps serving.  Beyond the probes, both paths are parity-pinned
+  bit for bit by test whenever the kernels are available.
 - **Self-invalidating cache.**  The shared object lands in a
-  gitignored ``_native/_build/`` directory next to the source, named by
-  a hash of the source text, so editing the C file rebuilds and stale
+  gitignored ``_native/_build/`` directory next to the sources, named by
+  a hash of the source texts, so editing a C file rebuilds and stale
   artifacts are never picked up.
 
-The kernel itself dispatches at runtime between a portable scalar
-SHA-256 and an SHA-NI path on x86-64 CPUs that have it (~10× again over
-scalar C).  ``ctypes`` releases the GIL around the foreign call, so
-:class:`repro.parallel.WorkerPool` fan-out scales the native path across
-cores too.
+``ctypes`` releases the GIL around every foreign call and both kernels
+keep their state on the stack, so :class:`repro.parallel.WorkerPool`
+fan-out scales the native paths across cores too.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -45,17 +60,23 @@ import threading
 from pathlib import Path
 from typing import Optional
 
-_SRC = Path(__file__).resolve().parent / "_native" / "sha256ctr.c"
-_BUILD_DIR = _SRC.parent / "_build"
+_NATIVE_DIR = Path(__file__).resolve().parent / "_native"
+_SOURCES = (_NATIVE_DIR / "sha256ctr.c", _NATIVE_DIR / "modexp.c")
+_BUILD_DIR = _NATIVE_DIR / "_build"
 
 # Messages are seed ∥ be64(counter); the kernel requires them to fit a
 # single padded SHA-256 block (seedlen + 8 ≤ 55).  Protocol seeds are
 # 32 bytes (DH agreement digests / random_seed(32)).
 MAX_SEED_LEN = 47
 
+# Widest modulus the modexp kernel takes (MODEXP_MAX_LIMBS in modexp.c):
+# 64 limbs of 64 bits, 4096 bits.
+MODEXP_MAX_LIMBS = 64
+
 _lock = threading.Lock()
 _loaded = False
 _lib: Optional[ctypes.CDLL] = None
+_modexp_ok = False
 
 
 def _compilers() -> list[str]:
@@ -70,9 +91,10 @@ def _compilers() -> list[str]:
 
 
 def _build() -> Optional[ctypes.CDLL]:
-    src = _SRC.read_text()
-    tag = hashlib.sha256(src.encode()).hexdigest()[:16]
-    sofile = _BUILD_DIR / f"sha256ctr-{tag}.so"
+    digest = hashlib.sha256()
+    for src in _SOURCES:
+        digest.update(src.read_bytes())
+    sofile = _BUILD_DIR / f"repro-native-{digest.hexdigest()[:16]}.so"
     if not sofile.exists():
         _BUILD_DIR.mkdir(parents=True, exist_ok=True)
         built = False
@@ -80,12 +102,13 @@ def _build() -> Optional[ctypes.CDLL]:
             # Compile to a temp name and rename into place so a
             # concurrent builder can never load a half-written object.
             fd, tmp = tempfile.mkstemp(
-                suffix=".so", prefix="sha256ctr-", dir=_BUILD_DIR
+                suffix=".so", prefix="repro-native-", dir=_BUILD_DIR
             )
             os.close(fd)
             try:
                 subprocess.run(
-                    [cc, "-O3", "-fPIC", "-shared", str(_SRC), "-o", tmp],
+                    [cc, "-O3", "-fPIC", "-shared",
+                     *(str(src) for src in _SOURCES), "-o", tmp],
                     check=True,
                     capture_output=True,
                     timeout=120,
@@ -111,33 +134,65 @@ def _build() -> Optional[ctypes.CDLL]:
     lib.repro_sha256_ctr.restype = ctypes.c_int
     lib.repro_sha256_ctr_backend.argtypes = []
     lib.repro_sha256_ctr_backend.restype = ctypes.c_int
+    lib.repro_modexp.argtypes = [
+        ctypes.c_char_p,  # base, n limbs little-endian, < modulus
+        ctypes.c_char_p,  # exponent, exp_limbs limbs little-endian
+        ctypes.c_size_t,  # exp_limbs
+        ctypes.c_char_p,  # modulus
+        ctypes.c_char_p,  # R^2 mod modulus
+        ctypes.c_uint64,  # -modulus^-1 mod 2^64
+        ctypes.c_size_t,  # n
+        ctypes.c_char_p,  # out
+    ]
+    lib.repro_modexp.restype = ctypes.c_int
     return lib
 
 
+def _sha_probe_ok(lib: ctypes.CDLL) -> bool:
+    """Block 0 of an all-zero seed must match hashlib."""
+    probe = ctypes.create_string_buffer(32)
+    seed = b"\x00" * 32
+    rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, probe)
+    want = hashlib.sha256(seed + (0).to_bytes(8, "big"))
+    return rc == 0 and probe.raw == want.digest()
+
+
+# (base, exp, modulus): one limb; eight limbs, the width the kernel
+# specializes; and base = p - 1 under a carry-heavy nine-limb Mersenne
+# modulus.  Short exponents keep pow's side cheap: the kernel runs every
+# window of the padded width whatever the exponent.
+_MODEXP_PROBES = (
+    (3, 65537, 0xFFFFFFFFFFFFFFC5),
+    (0xC0FFEE << 400, 0xFEDCBA9876543210, (1 << 512) - 569),
+    ((1 << 521) - 2, (1 << 64) + 1, (1 << 521) - 1),
+)
+
+
+def _modexp_probe_ok(lib: ctypes.CDLL) -> bool:
+    return all(
+        _modexp_call(lib, b, e, m) == pow(b, e, m) for b, e, m in _MODEXP_PROBES
+    )
+
+
 def load() -> Optional[ctypes.CDLL]:
-    """The loaded kernel, building it on first call; ``None`` on failure."""
-    global _loaded, _lib
+    """The loaded kernels, building them on first call; ``None`` on failure."""
+    global _loaded, _lib, _modexp_ok
     if _loaded:
         return _lib
     with _lock:
         if _loaded:
             return _lib
-        lib = None
+        lib, modexp_ok = None, False
         if os.environ.get("REPRO_NATIVE", "1") != "0":
             try:
                 lib = _build()
+                if lib is not None and not _sha_probe_ok(lib):
+                    lib = None
                 if lib is not None:
-                    # One sanity digest before trusting it: block 0 of an
-                    # all-zero seed must match hashlib.
-                    probe = ctypes.create_string_buffer(32)
-                    seed = b"\x00" * 32
-                    rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, probe)
-                    want = hashlib.sha256(seed + (0).to_bytes(8, "big"))
-                    if rc != 0 or probe.raw != want.digest():
-                        lib = None
+                    modexp_ok = _modexp_probe_ok(lib)
             except Exception:
                 lib = None
-        _lib = lib
+        _lib, _modexp_ok = lib, lib is not None and modexp_ok
         _loaded = True
     return _lib
 
@@ -171,3 +226,55 @@ def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[byte
         if rc != 0:
             return None
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _mont_context(modulus: int) -> Optional[tuple[int, bytes, bytes, int]]:
+    """``(limbs, modulus, R² mod p, −p⁻¹ mod 2⁶⁴)``, or ``None`` if unsupported.
+
+    The kernel takes odd moduli of at most :data:`MODEXP_MAX_LIMBS` limbs;
+    below 3 there is nothing to accelerate.
+    """
+    if modulus < 3 or not modulus & 1:
+        return None
+    n = (modulus.bit_length() + 63) // 64
+    if n > MODEXP_MAX_LIMBS:
+        return None
+    r2 = pow(2, 128 * n, modulus)
+    n0inv = -pow(modulus, -1, 1 << 64) % (1 << 64)
+    return n, modulus.to_bytes(8 * n, "little"), r2.to_bytes(8 * n, "little"), n0inv
+
+
+def _modexp_call(lib: ctypes.CDLL, base: int, exp: int, modulus: int) -> Optional[int]:
+    if exp < 0:
+        return None
+    ctx = _mont_context(modulus)
+    if ctx is None:
+        return None
+    n, mod_le, r2_le, n0inv = ctx
+    # The exponent is padded to the modulus width, so the window count
+    # does not reveal a secret exponent's bit length.
+    exp_limbs = max(n, (exp.bit_length() + 63) // 64)
+    out = ctypes.create_string_buffer(8 * n)
+    rc = lib.repro_modexp(
+        (base % modulus).to_bytes(8 * n, "little"),
+        exp.to_bytes(8 * exp_limbs, "little"),
+        exp_limbs, mod_le, r2_le, n0inv, n, out,
+    )
+    if rc != 0:
+        return None
+    return int.from_bytes(out.raw, "little")
+
+
+def modexp(base: int, exp: int, modulus: int) -> Optional[int]:
+    """``pow(base, exp, modulus)`` through the Montgomery kernel.
+
+    Returns ``None`` when the kernel cannot serve the call — unavailable,
+    failed its load-time probe, an even or over-wide modulus, or a
+    negative exponent — and the caller computes ``pow`` itself, which
+    gives the identical result.
+    """
+    lib = load()
+    if lib is None or not _modexp_ok:
+        return None
+    return _modexp_call(lib, base, exp, modulus)

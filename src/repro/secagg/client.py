@@ -80,6 +80,9 @@ class SecAggClient:
         self._s_pair = self._ka.generate()
         self._b_seed: bytes = b""
         self._roster: dict[int, AdvertiseKeysMsg] = {}
+        # Peer id → AE under the agreed c key: one agreement per peer,
+        # reused from ShareKeys encryption through every later decryption.
+        self._channels: dict[int, AuthenticatedEncryption] = {}
         self._neighbors: set[int] = set()
         self._received_ciphertexts: dict[int, bytes] = {}
         self._u2: set[int] = set()
@@ -137,6 +140,7 @@ class SecAggClient:
                     raise ProtocolAbort(f"bad key signature from {peer}")
 
         self._roster = dict(roster)
+        self._channels = {}
         self._graph = graph
         self._neighbors = set(graph.get(self.id, set())) & set(roster)
         if len(self._neighbors) < self.config.threshold:
@@ -173,8 +177,7 @@ class SecAggClient:
                 b_share=b_shares[peer],
                 extra_shares={lbl: shares[peer] for lbl, shares in extra_shares.items()},
             )
-            key = self._ka.agree(self._c_pair, self._roster[peer].c_public)
-            ciphertexts[peer] = AuthenticatedEncryption(key).encrypt(payload)
+            ciphertexts[peer] = self._channel(peer).encrypt(payload)
         return ciphertexts
 
     # ------------------------------------------------------------------
@@ -313,6 +316,14 @@ class SecAggClient:
         return response
 
     # ------------------------------------------------------------------
+    def _channel(self, peer: int) -> AuthenticatedEncryption:
+        """The AE channel to ``peer``, agreeing its c key on first use."""
+        channel = self._channels.get(peer)
+        if channel is None:
+            key = self._ka.agree(self._c_pair, self._roster[peer].c_public)
+            channel = self._channels[peer] = AuthenticatedEncryption(key)
+        return channel
+
     def _decrypt_payloads(self) -> dict[int, tuple[Share, Share, dict[str, Share]]]:
         """Decrypt and authenticate all stored ShareKeys ciphertexts.
 
@@ -325,9 +336,9 @@ class SecAggClient:
         for peer, blob in self._received_ciphertexts.items():
             if peer == self.id or peer not in self._roster:
                 continue
-            key = self._ka.agree(self._c_pair, self._roster[peer].c_public)
+            channel = self._channel(peer)
             try:
-                plaintext = AuthenticatedEncryption(key).decrypt(blob)
+                plaintext = channel.decrypt(blob)
                 sender, recipient, s_share, b_share, extra = (
                     wire.decode_share_payload(plaintext)
                 )

@@ -2,19 +2,35 @@
 
 The perf work keeps each original implementation in-tree as an
 executable specification (``PRGReference``, ``share_reference`` /
-``reconstruct_reference``, ``accumulate_masks_reference``) and this
+``reconstruct_reference``, ``accumulate_masks_reference``,
+``DHGroup.power_reference``) and this
 suite holds the optimized paths bit-identical to them — across call
 boundaries, random shapes, odd moduli, and the guard fallbacks.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro import native
+from repro.crypto import ae as ae_module
+from repro.crypto.ae import AuthenticatedEncryption
+from repro.crypto.dh import (
+    MODP_2048,
+    MODP_512,
+    TOY_GROUP,
+    DHGroup,
+    KeyAgreement,
+)
 from repro.crypto.prg import (
     PRG,
     PRGReference,
@@ -22,6 +38,9 @@ from repro.crypto.prg import (
     expand_uniform_batch,
 )
 from repro.crypto.shamir import ShamirSecretSharing
+from repro.parallel import WorkerPool
+from repro.secagg import DropoutSchedule, SecAggConfig, run_secagg_round
+from repro.secagg.client import SecAggClient
 from repro.secagg.masking import (
     MaskAccumulator,
     accumulate_masks_reference,
@@ -349,3 +368,211 @@ class TestMaskAccumulatorParity:
     def test_n_terms_must_count_base(self):
         with pytest.raises(ValueError):
             MaskAccumulator(np.zeros(2, dtype=np.int64), 8, n_terms=0)
+
+
+_GROUPS = {"toy": TOY_GROUP, "modp512": MODP_512, "modp2048": MODP_2048}
+
+
+def _kernel_loaded() -> bool:
+    return native.load() is not None
+
+
+class TestDHPowerParity:
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    def test_power_matches_reference_on_random_inputs(self, name):
+        group = _GROUPS[name]
+        rng = random.Random(group.p.bit_length())
+        for _ in range(10 if group is MODP_2048 else 100):
+            base = rng.randrange(0, 3 * group.p)
+            exp = rng.randrange(0, group.p)
+            assert group.power(base, exp) == group.power_reference(base, exp)
+
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    def test_power_matches_reference_on_edge_inputs(self, name):
+        group = _GROUPS[name]
+        p, q = group.p, group.q
+        for base in (1, group.g, p - 1, p, p + 1, 2 * p + 3):
+            for exp in (0, 1, q - 1, p - 2):
+                assert group.power(base, exp) == group.power_reference(
+                    base, exp
+                ), (base, exp)
+
+    def test_outside_kernel_domain_falls_back(self):
+        # Negative exponent, even modulus, wider than the limb limit:
+        # the kernel declines and power() serves pow()'s answer.
+        assert native.modexp(3, -1, MODP_512.p) is None
+        assert MODP_512.power(3, -1) == MODP_512.power_reference(3, -1)
+        even = DHGroup(p=1 << 89, g=3, q=1 << 88)
+        assert native.modexp(3, 12345, even.p) is None
+        assert even.power(3, 12345) == even.power_reference(3, 12345)
+        wide_p = (1 << (64 * native.MODEXP_MAX_LIMBS + 1)) + 1
+        wide = DHGroup(p=wide_p, g=3, q=(wide_p - 1) // 2)
+        assert native.modexp(3, 65537, wide.p) is None
+        assert wide.power(3, 65537) == wide.power_reference(3, 65537)
+
+    @pytest.mark.skipif(sys.maxsize <= 2**32, reason="no 64-bit limbs")
+    def test_kernel_serves_protocol_groups_when_loaded(self):
+        if not _kernel_loaded():
+            pytest.skip("native kernel unavailable on this host")
+        for group in _GROUPS.values():
+            exp = group.q - 1
+            assert native.modexp(group.g, exp, group.p) == pow(
+                group.g, exp, group.p
+            )
+
+    def test_fallback_path_without_native(self):
+        # REPRO_NATIVE=0 is read once, at first load, so it needs a
+        # fresh interpreter.
+        script = (
+            "import random\n"
+            "from repro import native\n"
+            "from repro.crypto.dh import MODP_512, KeyAgreement\n"
+            "assert native.load() is None\n"
+            "assert native.modexp(4, 5, MODP_512.p) is None\n"
+            "rng = random.Random(5)\n"
+            "for _ in range(20):\n"
+            "    b, e = rng.randrange(MODP_512.p), rng.randrange(MODP_512.q)\n"
+            "    assert MODP_512.power(b, e) == pow(b, e, MODP_512.p)\n"
+            "ka = KeyAgreement(MODP_512)\n"
+            "a, b = ka.generate(), ka.generate()\n"
+            "assert ka.agree(a, b.public) == ka.agree(b, a.public)\n"
+            "print('fallback-ok')\n"
+        )
+        env = dict(os.environ)
+        env["REPRO_NATIVE"] = "0"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "fallback-ok"
+
+    def test_concurrent_agree_from_worker_pool(self):
+        ka = KeyAgreement(MODP_512)
+        peer = ka.generate()
+        mine = [ka.generate() for _ in range(8)]
+        size = (MODP_512.p.bit_length() + 7) // 8
+        want = [
+            hashlib.sha256(
+                MODP_512.power_reference(peer.public, kp.secret).to_bytes(size, "big")
+            ).digest()
+            for kp in mine
+        ]
+        # More threads than cores, frequent switches, and a cold
+        # per-modulus context, so first uses race each other too.
+        native._mont_context.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(workers=4) as pool:
+                got = pool.map(lambda kp: ka.agree(kp, peer.public), mine * 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 6
+
+    def test_secagg_round_identical_with_kernel_on_and_off(self, monkeypatch):
+        # Plain SecAgg aggregates are exact whatever the mask randomness,
+        # so both runs must return the ring sum over the same survivors —
+        # with a dropout, so the server's mask-key re-derivation runs too.
+        config = SecAggConfig(threshold=3, bits=16, dimension=24, dh_group="modp512")
+        rng = np.random.default_rng(3)
+        inputs = {
+            u: rng.integers(0, 1 << 12, size=24).astype(np.int64)
+            for u in range(1, 6)
+        }
+        schedule = DropoutSchedule.before_upload({4})
+        served = []
+        kernel = native.modexp
+
+        def counting(base, exp, modulus):
+            out = kernel(base, exp, modulus)
+            served.append(out is not None)
+            return out
+
+        monkeypatch.setattr(native, "modexp", counting)
+        on = run_secagg_round(config, inputs, schedule)
+        if _kernel_loaded():
+            assert served and all(served)
+        monkeypatch.setattr(native, "modexp", lambda base, exp, modulus: None)
+        off = run_secagg_round(config, inputs, schedule)
+        assert on.u3 == off.u3 == [1, 2, 3, 5]
+        np.testing.assert_array_equal(on.aggregate, off.aggregate)
+        want = sum(inputs[u] for u in on.u3) % config.modulus
+        np.testing.assert_array_equal(on.aggregate, want)
+
+
+class TestCKeyAgreementOncePerPeer:
+    def _round_through_masked_input(self, n=4):
+        config = SecAggConfig(threshold=3, bits=16, dimension=8, dh_group="modp512")
+        clients = {u: SecAggClient(u, config) for u in range(1, n + 1)}
+        roster = {u: c.advertise_keys() for u, c in clients.items()}
+        graph = {u: set(clients) - {u} for u in clients}
+        sent = {u: c.share_keys(roster, graph) for u, c in clients.items()}
+        for v, client in clients.items():
+            routed = {u: cts[v] for u, cts in sent.items() if v in cts}
+            client.masked_input(routed, np.zeros(8, dtype=np.int64))
+        return clients
+
+    def test_decrypt_payloads_performs_no_agreement(self, monkeypatch):
+        clients = self._round_through_masked_input()
+        calls = []
+        agree = KeyAgreement.agree
+
+        def counting(self, mine, peer_public):
+            calls.append(peer_public)
+            return agree(self, mine, peer_public)
+
+        monkeypatch.setattr(KeyAgreement, "agree", counting)
+        for u, client in clients.items():
+            payloads = client._decrypt_payloads()
+            assert sorted(payloads) == sorted(clients)
+            client.shares_of_extra_secret({v: ["none"] for v in clients})
+        assert calls == []
+
+
+class TestAEXorParity:
+    """The whole-buffer XOR reproduces the per-byte generator exactly."""
+
+    KEY = bytes(range(32))
+    NONCE = b"\x07" * 16
+
+    def _fixed_nonce(self, monkeypatch):
+        monkeypatch.setattr(ae_module.secrets, "token_bytes", lambda n: self.NONCE[:n])
+
+    def _per_byte_encrypt(self, plaintext: bytes) -> bytes:
+        # The pre-vectorization expression, kept here as the spec.
+        enc_key = hmac.new(self.KEY, b"dordis-aeenc", hashlib.sha256).digest()
+        mac_key = hmac.new(self.KEY, b"dordis-aemac", hashlib.sha256).digest()
+        stream = PRGReference(enc_key + self.NONCE).read(len(plaintext))
+        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        tag = hmac.new(mac_key, self.NONCE + ciphertext, hashlib.sha256).digest()
+        return self.NONCE + ciphertext + tag
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 31, 32, 33, 255, 1024, 4099])
+    def test_matches_per_byte_expression(self, monkeypatch, length):
+        self._fixed_nonce(monkeypatch)
+        plaintext = random.Random(length).randbytes(length)
+        ae = AuthenticatedEncryption(self.KEY)
+        blob = ae.encrypt(plaintext)
+        assert blob == self._per_byte_encrypt(plaintext)
+        assert ae.decrypt(blob) == plaintext
+
+    def test_known_answers(self, monkeypatch):
+        self._fixed_nonce(monkeypatch)
+        ae = AuthenticatedEncryption(self.KEY)
+        assert ae.encrypt(b"").hex() == (
+            "07070707070707070707070707070707"
+            "dad9a0a081fd2632532b3cf3ac1c9839de65613200a91d8fcaae4990d5ce8c44"
+        )
+        assert ae.encrypt(b"\x00\x01\x02").hex() == (
+            "07070707070707070707070707070707"
+            "4ae824"
+            "f06782682f047407465d4e0c18e3f4856a98bd2756ab87653b8d203801c85203"
+        )
+        blob = ae.encrypt(bytes(range(256)) * 4 + b"tail")
+        assert len(blob) == 1076
+        assert hashlib.sha256(blob).hexdigest() == (
+            "09c2e8314e95acb24f17c8edbc338d552bcc9396cc43f143e8c947b664e534bb"
+        )

@@ -63,6 +63,9 @@ class TestBenchEntrypoint:
         ):
             assert f"{name}_reference_s" in m
             assert f"{name}_fast_s" in m
+        for group in ("modp512", "modp2048"):
+            assert m[f"dh_agree_{group}_reference_us"]["unit"] == "us"
+            assert m[f"dh_agree_{group}_fast_us"]["unit"] == "us"
 
     def test_round_report_covers_requested_dims(self, bench_run):
         m = bench.load_bench(bench.bench_path(bench_run, "round"))["metrics"]
