@@ -130,7 +130,7 @@ def test_measured_per_round_traffic(once):
     assert totals[4] < 4 * totals[1]
 
     # The masked-vector *upload* costs the same in both protocols (d
-    # int64 coordinates per survivor); XNoise's stage total is larger
+    # BITS-bit packed coordinates per survivor); XNoise's stage total is larger
     # only because the routed ShareKeys inboxes — the stage's request
     # payloads — also carry the encrypted noise-seed shares.
     from repro.secagg.types import MaskedInputMsg
@@ -138,7 +138,7 @@ def test_measured_per_round_traffic(once):
 
     upload = encoded_nbytes(
         MaskedInputMsg(
-            sender=1, masked_vector=np.zeros(DIMENSION, dtype=np.int64)
+            sender=1, masked_vector=np.zeros(DIMENSION, dtype=np.int64), bits=BITS
         )
     )
     sec_masked = sec_stages["masked_input"]

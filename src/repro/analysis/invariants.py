@@ -34,10 +34,14 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/engine/test_arbiter.py",
         ],
     },
-    # Dropout at any stage yields a correct aggregate or a clean abort.
+    # Dropout at any stage — or a malformed masked upload — yields a
+    # correct aggregate or a clean abort.
     "3": {
         "rules": [],
-        "tests": ["tests/secagg/test_dropout_stages.py"],
+        "tests": [
+            "tests/secagg/test_dropout_stages.py",
+            "tests/secagg/test_adversarial.py",
+        ],
     },
     # Chunking never changes the privacy trajectory.
     "4": {
@@ -81,6 +85,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "tests": [
             "tests/crypto/test_hotpath_parity.py",
             "tests/wire/test_encode_parity.py",
+            "tests/wire/test_bitpack.py",
         ],
     },
     # Fleet scale: columnar profiles box bit-identically to the
@@ -97,5 +102,14 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
     "11": {
         "rules": ["parity-twin", "headroom-guard"],
         "tests": ["tests/secagg/test_unmask_plane.py"],
+    },
+    # Measured masked upload = ⌈d·b/8⌉ + a fixed header = the meter's
+    # vector_bytes + header.
+    "12": {
+        "rules": [],
+        "tests": [
+            "tests/secagg/test_masked_uplink.py",
+            "tests/wire/test_bitpack.py",
+        ],
     },
 }

@@ -3,7 +3,8 @@
 Each metric pair times the optimized implementation and the
 ``*_reference`` executable specification it is parity-pinned against
 (PRG mask expansion, Shamir share evaluation and reconstruction, codec
-encode, mask accumulation, DH key agreement), so the recorded speedups
+encode, mask accumulation, DH key agreement) — plus the packed
+masked-upload codec's size and encode/decode time, so the recorded speedups
 are measured on the same machine, same inputs, same run — the
 trajectory point the paper's Fig.-2-style overhead claims rest on.
 """
@@ -20,9 +21,10 @@ import numpy as np
 from repro import native
 from repro.bench.schema import make_report, metric
 from repro.crypto.dh import DHGroup, resolve_group
-from repro.crypto.prg import PRG, PRGReference
+from repro.crypto.prg import PRGReference, expand_uniform
 from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
+from repro.secagg.types import MaskedInputMsg
 from repro.utils.rng import derive_rng
 from repro.wire import codecs as wire_codecs
 
@@ -79,14 +81,18 @@ def run_hotpath(
     prg_seed = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
     metrics: dict[str, Any] = {}
 
-    # PRG mask expansion, per dimension.
+    # PRG mask expansion, per dimension: expand_uniform is the entry
+    # point masking and unmasking call (native kernel when loaded).
     for d in dims:
+        if not np.array_equal(
+            expand_uniform(prg_seed, d, modulus),
+            PRGReference(prg_seed).uniform_vector(d, modulus),
+        ):
+            raise RuntimeError(f"expand_uniform diverged from PRGReference at d={d}")
         ref_s = _best_of(
             lambda: PRGReference(prg_seed).uniform_vector(d, modulus), repeats
         )
-        fast_s = _best_of(
-            lambda: PRG(prg_seed).uniform_vector(d, modulus), repeats
-        )
+        fast_s = _best_of(lambda: expand_uniform(prg_seed, d, modulus), repeats)
         _speedup_triplet(metrics, f"prg_expand_d{d}", ref_s, fast_s)
 
     # Shamir: the deterministic evaluation step on identical polynomials
@@ -127,6 +133,21 @@ def run_hotpath(
     metrics[f"codec_encoded_d{d}_bytes"] = metric(len(encoded), "bytes")
     metrics[f"codec_decode_d{d}_s"] = metric(
         _best_of(lambda: wire_codecs.decode_payload(encoded), repeats), "s"
+    )
+
+    # The masked upload itself: packed at b bits per element.
+    masked = MaskedInputMsg(sender=1, masked_vector=vector, bits=bits)
+    packed = wire_codecs.encode_payload(masked)
+    if not np.array_equal(
+        wire_codecs.decode_payload(packed).masked_vector, vector
+    ):
+        raise RuntimeError(f"packed MaskedInputMsg round trip diverged at d={d}")
+    metrics[f"masked_input_d{d}_bytes"] = metric(len(packed), "bytes")
+    metrics[f"masked_input_encode_d{d}_s"] = metric(
+        _best_of(lambda: wire_codecs.encode_payload(masked), repeats), "s"
+    )
+    metrics[f"masked_input_decode_d{d}_s"] = metric(
+        _best_of(lambda: wire_codecs.decode_payload(packed), repeats), "s"
     )
 
     # Mask accumulation: base + one mask per live neighbor.

@@ -103,6 +103,12 @@ def run_traffic(
         slug = _slug(label)
         metrics[f"stage_{slug}_down_bytes"] = metric(split.down, "bytes")
         metrics[f"stage_{slug}_up_bytes"] = metric(split.up, "bytes")
+        if slug == "masked_input":
+            # Framed upload bytes per ring element, headers included
+            # (b/8 plus a fixed per-upload header; 2.5 B at b = 20).
+            metrics["masked_input_up_bytes_per_element"] = metric(
+                split.up / (m["clients"] * dimension), "bytes"
+            )
     config = {
         "clients": m["clients"],
         "dimension": dimension,

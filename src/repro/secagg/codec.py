@@ -7,19 +7,28 @@ by tests to pin the wire format (a tampered or truncated encoding must
 fail to parse, never mis-parse).
 
 Format conventions: 4-byte big-endian length prefixes via
-:mod:`repro.secagg.wire`; vectors as ``int64`` big-endian; group elements
-at the group's fixed width.
+:mod:`repro.secagg.wire`; group elements at the group's fixed width;
+masked vectors bit-packed at the ring width (:mod:`repro.wire.bitpack`)
+behind a fixed :data:`MASKED_INPUT_HEADER`.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
 from repro.crypto.signature import SchnorrSignature
 from repro.secagg import wire
 from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, UnmaskingMsg
+from repro.wire.bitpack import decode_packed, encode_packed, packed_nbytes
 
 _KEY_BYTES = 256  # MODP group elements (≤ 2048 bits)
+
+#: MaskedInput body header: sender (8 bytes), bits (1), element count d
+#: (4), all big-endian; ⌈d·bits/8⌉ packed bytes follow.
+_MASKED_HEADER = struct.Struct(">QBI")
+MASKED_INPUT_HEADER = _MASKED_HEADER.size
 
 
 def encode_advertise(msg: AdvertiseKeysMsg) -> bytes:
@@ -47,29 +56,43 @@ def decode_advertise(data: bytes) -> AdvertiseKeysMsg:
     )
 
 
-def encode_vector(vector: np.ndarray) -> bytes:
-    return np.ascontiguousarray(vector, dtype=">i8").tobytes()
-
-
-def decode_vector(data: bytes) -> np.ndarray:
-    if len(data) % 8:
-        raise ValueError("vector encoding must be a multiple of 8 bytes")
-    return np.frombuffer(data, dtype=">i8").astype(np.int64)
+def masked_input_nbytes(msg: MaskedInputMsg) -> int:
+    """``len(encode_masked_input(msg))`` in O(1): header + ⌈d·b/8⌉."""
+    return MASKED_INPUT_HEADER + packed_nbytes(msg.masked_vector.size, msg.bits)
 
 
 def encode_masked_input(msg: MaskedInputMsg) -> bytes:
-    return wire.encode_fields(
-        [msg.sender.to_bytes(8, "big"), encode_vector(msg.masked_vector)]
-    )
+    """sender ∥ bits ∥ d ∥ the vector packed at ``msg.bits`` bits/element.
+
+    Refuses (``ValueError``) a sender or length outside the header's
+    fields and any element outside ``[0, 2^bits)``.
+    """
+    vector = np.asarray(msg.masked_vector)
+    try:
+        header = _MASKED_HEADER.pack(msg.sender, msg.bits, vector.size)
+    except struct.error as exc:
+        raise ValueError(f"MaskedInput header out of range: {exc}") from exc
+    return header + encode_packed(vector, msg.bits)
 
 
 def decode_masked_input(data: bytes) -> MaskedInputMsg:
-    fields = wire.decode_fields(data)
-    if len(fields) != 2:
-        raise ValueError("malformed MaskedInput encoding")
+    """Strict inverse of :func:`encode_masked_input`.
+
+    Truncation, trailing bytes, set pad bits, ``bits`` outside [1, 62],
+    and a packed length that disagrees with ``d`` all raise
+    ``ValueError``.
+    """
+    if len(data) < MASKED_INPUT_HEADER:
+        raise ValueError(
+            f"truncated MaskedInput header: {len(data)} of "
+            f"{MASKED_INPUT_HEADER} bytes"
+        )
+    sender, bits, count = _MASKED_HEADER.unpack_from(data)
+    packed = memoryview(data)[MASKED_INPUT_HEADER:]
     return MaskedInputMsg(
-        sender=int.from_bytes(fields[0], "big"),
-        masked_vector=decode_vector(fields[1]),
+        sender=sender,
+        masked_vector=decode_packed(packed, count, bits),
+        bits=bits,
     )
 
 

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 from repro.secagg.graph import recommended_degree
 
-#: Wire-size constants (bytes) matching repro.secagg.codec / §6.3.
+#: Wire-size constants (bytes) matching repro.secagg.codec / §6.3.  The
+#: masked vector is not among them: it ships bit-packed at the ring
+#: width, ⌈d·b/8⌉ bytes (``SecAggConfig.vector_bytes``) behind a fixed
+#: 13-byte message header (``repro.secagg.codec.MASKED_INPUT_HEADER``).
 PUBLIC_KEY_BYTES = 256
 CIPHERTEXT_OVERHEAD = 48  # nonce + tag
 SHARE_BYTES = 300  # one encoded Shamir share of a 256-byte secret

@@ -304,5 +304,6 @@ def run_secagg_round_reference(
         u3=list(server.u3),
         u4=list(server.u4),
         u5=list(server.u5),
+        rejected=dict(server.rejected),
         traffic=traffic,
     )

@@ -53,6 +53,8 @@ class SecAggServer:
         self.u4: list[int] = []
         self.u5: list[int] = []
         self._masked: dict[int, np.ndarray] = {}
+        #: Clients excluded from U3 for a malformed upload → the cause.
+        self.rejected: dict[int, str] = {}
         self._consistency_sigs: dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -88,16 +90,60 @@ class SecAggServer:
 
     # ------------------------------------------------------------------
     def collect_masked(self, messages: dict[int, MaskedInputMsg]) -> list[int]:
-        """Fix U3 (the survivor set whose inputs enter the aggregate)."""
-        good = {u: m for u, m in messages.items() if u in self.u2}
+        """Fix U3 (the survivor set whose inputs enter the aggregate).
+
+        Every upload is validated at this boundary (:meth:`_masked_fault`).
+        A malformed one excludes its sender from U3 exactly like a
+        dropout — its pairwise masks are cancelled at unmasking — and
+        the cause is recorded in :attr:`rejected`; if the remaining
+        survivors fall below threshold the round aborts naming each
+        rejected client and its cause.
+        """
+        good: dict[int, np.ndarray] = {}
+        for u, m in messages.items():
+            if u not in self.u2:
+                continue
+            fault = self._masked_fault(u, m)
+            if fault is None:
+                good[u] = np.asarray(m.masked_vector).astype(np.int64, copy=False)
+            else:
+                self.rejected[u] = fault
         if len(good) < self.config.threshold:
-            raise ProtocolAbort(f"only {len(good)} masked inputs; below threshold")
-        self._masked = {
-            u: np.asarray(m.masked_vector, dtype=np.int64) % self.config.modulus
-            for u, m in good.items()
-        }
+            causes = "".join(
+                f"; rejected client {u}: {why}"
+                for u, why in sorted(self.rejected.items())
+            )
+            raise ProtocolAbort(
+                f"only {len(good)} masked inputs; below threshold{causes}"
+            )
+        self._masked = good
         self.u3 = sorted(good)
         return list(self.u3)
+
+    def _masked_fault(self, u: int, m) -> Optional[str]:
+        """Why client ``u``'s stage-2 upload is unusable, or ``None``.
+
+        The sender must be the responding client, the ring width the
+        round's, and the vector a ``(dimension,)`` integer array with
+        every element in ``[0, 2^bits)`` — a wrong-length vector would
+        otherwise be broadcast by numpy into the aggregate.
+        """
+        if not isinstance(m, MaskedInputMsg):
+            return f"response is {type(m).__name__}, not MaskedInputMsg"
+        if m.sender != u:
+            return f"sender {m.sender} is not the responding client"
+        if m.bits != self.config.bits:
+            return f"bits {m.bits} != the round's ring width {self.config.bits}"
+        vector = np.asarray(m.masked_vector)
+        if vector.dtype.kind not in "iu":
+            return f"vector dtype {vector.dtype} is not an integer type"
+        if vector.shape != (self.config.dimension,):
+            shape = vector.shape
+            size = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
+            return f"vector {size} != dimension {self.config.dimension}"
+        if vector.min() < 0 or vector.max() >= self.config.modulus:
+            return f"vector elements outside [0, 2**{self.config.bits})"
+        return None
 
     # ------------------------------------------------------------------
     def collect_consistency(

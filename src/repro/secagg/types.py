@@ -105,8 +105,13 @@ class SecAggConfig:
 
     @property
     def vector_bytes(self) -> int:
-        """Wire size of one masked vector: dimension × b bits."""
-        return self.dimension * self.bits // 8
+        """Wire size of one masked vector: ⌈dimension × b / 8⌉ bytes.
+
+        Exactly the packed body of a :class:`MaskedInputMsg`; the
+        measured upload adds a fixed header
+        (``repro.secagg.codec.MASKED_INPUT_HEADER`` plus framing).
+        """
+        return (self.dimension * self.bits + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -121,10 +126,16 @@ class AdvertiseKeysMsg:
 
 @dataclass(frozen=True)
 class MaskedInputMsg:
-    """Stage-2 client → server: the masked (and DP-perturbed) input."""
+    """Stage-2 client → server: the masked (and DP-perturbed) input.
+
+    ``bits`` is the ring width b the vector lives in (every element in
+    ``[0, 2^b)``); the wire ships the vector at exactly b bits per
+    element.
+    """
 
     sender: int
     masked_vector: np.ndarray
+    bits: int
 
 
 @dataclass(frozen=True)
@@ -173,7 +184,8 @@ class RoundResult:
 
     ``aggregate`` is the ring-domain sum over the survivor set ``u3``
     (Fig. 5's z), before any DP decode.  The u* fields record the
-    per-stage participant sets.
+    per-stage participant sets; ``rejected`` names the clients excluded
+    from ``u3`` for a malformed masked upload, with the cause.
     """
 
     aggregate: np.ndarray
@@ -185,6 +197,7 @@ class RoundResult:
     traffic: TrafficMeter
     u6: list = field(default_factory=list)  # XNoise stage-5 responders
     removed_noise_components: int = 0  # XNoise bookkeeping
+    rejected: dict = field(default_factory=dict)  # client id -> cause
 
     @property
     def survivors(self) -> list:

@@ -196,5 +196,6 @@ class SecAggWorkflowServer(ProtocolServer):
             u3=list(self.inner.u3),
             u4=list(self.inner.u4),
             u5=list(self.inner.u5),
+            rejected=dict(self.inner.rejected),
             traffic=self.traffic,
         )

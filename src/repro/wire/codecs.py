@@ -42,7 +42,10 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 1
+#: Version byte of every payload.  2: ``MaskedInputMsg`` carries its
+#: ring width and ships its vector bit-packed at that width (1 shipped
+#: every element as an 8-byte int64).
+PAYLOAD_VERSION = 2
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).
@@ -158,9 +161,9 @@ def _ensure_defaults() -> None:
         0x23,
         secagg_codec.encode_masked_input,
         secagg_codec.decode_masked_input,
-        # encode_fields([sender(8), vector(8·d)]): two 4-byte length
-        # prefixes — O(1), the vector buffer is never copied to size it.
-        body_nbytes=lambda m: 4 + 8 + 4 + 8 * int(m.masked_vector.size),
+        # Fixed header + ⌈d·b/8⌉ packed bytes — O(1), the vector is
+        # never packed to size it.
+        body_nbytes=secagg_codec.masked_input_nbytes,
     )
     register_codec(
         UnmaskingMsg,

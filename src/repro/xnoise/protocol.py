@@ -316,6 +316,7 @@ class XNoiseWorkflowServer(SecAggWorkflowServer):
             u3=list(self.inner.u3),
             u4=list(self.inner.u4),
             u5=list(self.inner.u5),
+            rejected=dict(self.inner.rejected),
             traffic=self.traffic,
             u6=u6,
             removed_noise_components=removed,
@@ -455,9 +456,7 @@ def run_xnoise_round_reference(
     masked = {}
     for u in sorted(alive & set(server.u2)):
         masked[u] = clients[u].masked_input(inboxes.get(u, {}), inputs[u])
-        traffic.add_up(
-            STAGE_MASKED_INPUT, secagg_cfg.dimension * secagg_cfg.bits // 8
-        )
+        traffic.add_up(STAGE_MASKED_INPUT, secagg_cfg.vector_bytes)
     u3 = server.collect_masked(masked)
     traffic.add_down(STAGE_MASKED_INPUT, 8 * len(u3) * len(u3))
 
@@ -548,6 +547,7 @@ def run_xnoise_round_reference(
         u3=list(server.u3),
         u4=list(server.u4),
         u5=list(server.u5),
+        rejected=dict(server.rejected),
         traffic=traffic,
         u6=u6,
         removed_noise_components=removed,

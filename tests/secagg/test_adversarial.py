@@ -5,13 +5,17 @@ client and server stage methods directly with malformed or malicious
 inputs and assert that honest parties abort (never silently continue).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.signature import SchnorrSignature
+from repro.engine import RoundEngine, SerializingTransport
+from repro.engine.core import run_sync
 from repro.secagg.client import SecAggClient, consistency_message
-from repro.secagg.driver import build_graph
+from repro.secagg.driver import arun_secagg_round, build_graph
 from repro.secagg.server import SecAggServer
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -186,3 +190,100 @@ class TestUnmaskingAttacks:
         assert consistency_message(1, [1, 2]) != consistency_message(1, [1, 3])
         # Order-insensitive (the set is what is signed).
         assert consistency_message(1, [2, 1]) == consistency_message(1, [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# The MaskedInputCollection boundary: a malformed upload never reaches the sum
+# ---------------------------------------------------------------------------
+
+BOUNDARY_CFG = SecAggConfig(threshold=3, bits=16, dimension=8, dh_group="modp512")
+
+
+class _HostileClient(SecAggClient):
+    """An honest client whose masked upload is rewritten by ``tamper``."""
+
+    def __init__(self, *args, tamper, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tamper = tamper
+
+    def masked_input(self, ciphertexts, update_ring):
+        return self._tamper(super().masked_input(ciphertexts, update_ring))
+
+
+def _hostile_round(tampers, *, serialized=False, n=5, config=BOUNDARY_CFG):
+    """One engine round in which ``tampers[u]`` rewrites client u's upload."""
+    rng = np.random.default_rng(11)
+    inputs = {
+        u: rng.integers(0, config.modulus, size=config.dimension).astype(np.int64)
+        for u in range(1, n + 1)
+    }
+
+    def factory(u):
+        if u in tampers:
+            return _HostileClient(u, config, tamper=tampers[u])
+        return SecAggClient(u, config)
+
+    engine = RoundEngine(transport=SerializingTransport()) if serialized else None
+    result = run_sync(
+        arun_secagg_round(config, inputs, client_factory=factory, engine=engine)
+    )
+    return result, inputs
+
+
+def _ring_sum(inputs, survivors, modulus):
+    return sum(inputs[u] for u in survivors) % modulus
+
+
+TRUNCATE = lambda m: dataclasses.replace(  # noqa: E731
+    m, masked_vector=m.masked_vector[:1]
+)
+SPOOF = lambda m: dataclasses.replace(m, sender=m.sender % 5 + 1)  # noqa: E731
+WRONG_BITS = lambda m: dataclasses.replace(m, bits=m.bits + 1)  # noqa: E731
+
+
+class TestMaskedInputBoundary:
+    """``SecAggServer.collect_masked`` validates every upload: a 1-element
+    vector used to be broadcast by numpy into the aggregate, returning a
+    full-length wrong sum with no error."""
+
+    @pytest.mark.parametrize("serialized", [False, True], ids=["inprocess", "serialized"])
+    @pytest.mark.parametrize(
+        "tamper, cause",
+        [(TRUNCATE, "length 1"), (SPOOF, "sender"), (WRONG_BITS, "bits")],
+        ids=["truncated", "spoofed-sender", "wrong-bits"],
+    )
+    def test_malformed_upload_is_a_named_dropout(self, tamper, cause, serialized):
+        result, inputs = _hostile_round({2: tamper}, serialized=serialized)
+        assert result.u3 == [1, 3, 4, 5]
+        np.testing.assert_array_equal(
+            result.aggregate,
+            _ring_sum(inputs, result.u3, BOUNDARY_CFG.modulus),
+        )
+        assert set(result.rejected) == {2}
+        assert cause in result.rejected[2]
+
+    @pytest.mark.parametrize("serialized", [False, True], ids=["inprocess", "serialized"])
+    def test_below_threshold_aborts_naming_client_and_cause(self, serialized):
+        with pytest.raises(ProtocolAbort, match=r"client 2: .*length 1") as info:
+            _hostile_round(
+                {2: TRUNCATE, 3: TRUNCATE, 4: TRUNCATE}, serialized=serialized
+            )
+        assert "client 3" in str(info.value) and "client 4" in str(info.value)
+
+    def test_server_rejects_out_of_ring_and_non_integer_vectors(self):
+        clients, server, roster, graph = make_round()
+        outboxes = {u: clients[u].share_keys(roster, graph) for u in clients}
+        inboxes = server.route_shares(outboxes)
+        masked = {
+            u: clients[u].masked_input(inboxes[u], np.zeros(8, dtype=np.int64))
+            for u in clients
+        }
+        masked[1] = dataclasses.replace(
+            masked[1], masked_vector=masked[1].masked_vector + CFG.modulus
+        )
+        masked[2] = dataclasses.replace(
+            masked[2], masked_vector=masked[2].masked_vector.astype(np.float64)
+        )
+        assert server.collect_masked(masked) == [3, 4, 5]
+        assert "outside" in server.rejected[1]
+        assert "dtype" in server.rejected[2]

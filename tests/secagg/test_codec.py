@@ -11,14 +11,13 @@ from repro.secagg.codec import (
     decode_advertise,
     decode_masked_input,
     decode_unmasking,
-    decode_vector,
     encode_advertise,
     encode_masked_input,
     encode_unmasking,
-    encode_vector,
     message_bytes,
 )
 from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, UnmaskingMsg
+from repro.wire.bitpack import decode_packed, encode_packed
 
 
 class TestAdvertiseCodec:
@@ -39,37 +38,58 @@ class TestAdvertiseCodec:
 
 
 class TestVectorCodec:
+    """The masked vector travels bit-packed at the ring width."""
+
     @given(
-        values=st.lists(
-            st.integers(min_value=-(2**40), max_value=2**40),
-            min_size=0,
-            max_size=64,
-        )
+        bits=st.integers(min_value=1, max_value=62),
+        data=st.data(),
     )
     @settings(max_examples=30)
-    def test_roundtrip(self, values):
+    def test_roundtrip(self, bits, data):
+        values = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2**bits - 1),
+                min_size=0,
+                max_size=64,
+            )
+        )
         v = np.array(values, dtype=np.int64)
-        np.testing.assert_array_equal(decode_vector(encode_vector(v)), v)
+        packed = encode_packed(v, bits)
+        assert len(packed) == (v.size * bits + 7) // 8
+        np.testing.assert_array_equal(decode_packed(packed, v.size, bits), v)
 
     def test_truncated_rejected(self):
-        v = encode_vector(np.arange(4, dtype=np.int64))
+        v = encode_packed(np.arange(4, dtype=np.int64), 20)
         with pytest.raises(ValueError):
-            decode_vector(v[:-3])
+            decode_packed(v[:-3], 4, 20)
 
 
 class TestMaskedInputCodec:
     def test_roundtrip(self):
         msg = MaskedInputMsg(
-            sender=3, masked_vector=np.arange(16, dtype=np.int64)
+            sender=3, masked_vector=np.arange(16, dtype=np.int64), bits=20
         )
         decoded = decode_masked_input(encode_masked_input(msg))
         assert decoded.sender == 3
+        assert decoded.bits == 20
+        assert decoded.masked_vector.dtype == np.int64
         np.testing.assert_array_equal(decoded.masked_vector, msg.masked_vector)
 
     def test_size_scales_with_dimension(self):
-        small = MaskedInputMsg(1, np.zeros(16, dtype=np.int64))
-        large = MaskedInputMsg(1, np.zeros(1024, dtype=np.int64))
+        small = MaskedInputMsg(1, np.zeros(16, dtype=np.int64), 20)
+        large = MaskedInputMsg(1, np.zeros(1024, dtype=np.int64), 20)
         assert message_bytes(large) > message_bytes(small) * 30
+
+    def test_header_fields_out_of_range_refused(self):
+        vec = np.zeros(4, dtype=np.int64)
+        for msg in (
+            MaskedInputMsg(-1, vec, 20),
+            MaskedInputMsg(2**64, vec, 20),
+            MaskedInputMsg(1, vec, 0),
+            MaskedInputMsg(1, vec, 63),
+        ):
+            with pytest.raises(ValueError):
+                encode_masked_input(msg)
 
 
 class TestUnmaskingCodec:

@@ -63,6 +63,10 @@ class TestBenchEntrypoint:
         ):
             assert f"{name}_reference_s" in m
             assert f"{name}_fast_s" in m
+        # The masked upload ships at b = 20 bits per element: version,
+        # tag, length, the 13-byte header, then ⌈64·20/8⌉ packed bytes.
+        assert m["masked_input_d64_bytes"]["value"] == 1 + 1 + 4 + 13 + 160
+        assert m["masked_input_decode_d64_s"]["unit"] == "s"
         for group in ("modp512", "modp2048"):
             assert m[f"dh_agree_{group}_reference_us"]["unit"] == "us"
             assert m[f"dh_agree_{group}_fast_us"]["unit"] == "us"
@@ -80,6 +84,8 @@ class TestBenchEntrypoint:
             m["total_down_bytes"]["value"] + m["total_up_bytes"]["value"]
             == m["total_bytes"]["value"]
         )
+        # 4 uploads of ⌈32·20/8⌉ = 80 packed bytes + a 27-byte header.
+        assert m["masked_input_up_bytes_per_element"]["value"] == (80 + 27) / 32
 
     def test_listener_report_sustains_the_cohort(self, bench_run):
         report = bench.load_bench(bench.bench_path(bench_run, "listener"))

@@ -155,6 +155,7 @@ def _sample_payloads(seed: int) -> dict[type, object]:
         MaskedInputMsg: MaskedInputMsg(
             sender=int(rng.integers(1, 99)),
             masked_vector=rng.integers(0, 2**16, size=8).astype(np.int64),
+            bits=16,
         ),
         UnmaskingMsg: UnmaskingMsg(
             sender=int(rng.integers(1, 99)),
@@ -170,7 +171,7 @@ def _sample_payloads(seed: int) -> dict[type, object]:
 
 def _equal(a, b) -> bool:
     if isinstance(a, MaskedInputMsg):
-        return a.sender == b.sender and np.array_equal(
+        return (a.sender, a.bits) == (b.sender, b.bits) and np.array_equal(
             a.masked_vector, b.masked_vector
         )
     if isinstance(a, Targeted):
